@@ -25,6 +25,7 @@ class Partition:
 
     name: str
     nodes: list[Node]
+    cluster: ComputeCluster = field(repr=False)
     _released: bool = field(default=False, repr=False)
 
     @property
@@ -46,8 +47,7 @@ class Partition:
         """Drive every node of the partition to ``utilization``."""
         if self._released:
             raise ResourceError(f"partition {self.name!r} was already released")
-        for node in self.nodes:
-            node.set_utilization(utilization)
+        self.cluster.set_utilization(utilization, nodes=self.nodes)
 
     def __contains__(self, node: Node) -> bool:
         return any(n is node for n in self.nodes)
@@ -84,7 +84,7 @@ class Allocator:
                 f"requested {n_nodes} nodes but only {len(self._free)} are free"
             )
         taken, self._free = self._free[:n_nodes], self._free[n_nodes:]
-        partition = Partition(name=name, nodes=taken)
+        partition = Partition(name=name, nodes=taken, cluster=self.cluster)
         self._partitions[name] = partition
         return partition
 

@@ -1,5 +1,10 @@
 """The :class:`ComputeCluster` facade and the *Caddy* factory.
 
+Simulated power state lives in the cluster's cages (see
+:mod:`repro.cluster.topology`); nodes are views of cage slots.  A phase
+change computes the node power once and updates each affected cage once,
+so its cost grows with the number of cages, not nodes.
+
 Workflows drive the cluster through *phases*: a phase sets every allocated
 node to a utilization level for its duration (e.g. simulation at 0.95,
 rendering at 0.92, I/O wait at 0.85 — MPI implementations busy-poll while
@@ -17,13 +22,12 @@ from typing import Generator, Iterable, Optional
 
 from repro.cluster.node import Node
 from repro.cluster.power import NodePowerModel, e5_2670_node
-from repro.cluster.topology import Cage, Interconnect
+from repro.cluster.topology import Cage, Interconnect, MemberSignal
 from repro.errors import ConfigurationError
 from repro.events.engine import Simulator
 from repro.legacy import UNSET as _UNSET
 from repro.legacy import merge_legacy_positionals as _merge_legacy_positionals
 from repro.power.meter import CageMonitor
-from repro.power.signal import PowerSignal
 from repro.power.trace import PowerTrace
 
 __all__ = ["PhaseProfile", "ComputeCluster", "caddy"]
@@ -171,16 +175,29 @@ class ComputeCluster:
         """The cage-level power monitors (15 on Caddy)."""
         return [c.monitor for c in self.cages]
 
-    def power_signals(self) -> list[PowerSignal]:
-        """Per-node true power signals."""
+    def power_signals(self) -> list[MemberSignal]:
+        """Per-node true power signals, derived from the cages."""
         return [n.power_signal for n in self.nodes]
 
     # --------------------------------------------------------------- control
 
     def set_utilization(self, utilization: float, nodes: Optional[Iterable[Node]] = None) -> None:
-        """Set utilization on ``nodes`` (default: all) at the current time."""
-        for node in self.nodes if nodes is None else nodes:
-            node.set_utilization(utilization)
+        """Set utilization on ``nodes`` (default: all) at the current time.
+
+        ``nodes`` are nodes of this cluster.  The node power is computed
+        once and each affected cage is updated once, whatever the number of
+        nodes.
+        """
+        watts = self.node_model.power(utilization)
+        if nodes is None:
+            for cage in self.cages:
+                cage.set_members(utilization, watts)
+            return
+        slots: dict[Cage, set[int]] = {}
+        for node in nodes:
+            slots.setdefault(node.cage, set()).add(node.slot)
+        for cage, cage_slots in slots.items():
+            cage.set_members(utilization, watts, slots=cage_slots)
 
     def run_phase(
         self, duration: float, utilization: float, after: Optional[float] = None

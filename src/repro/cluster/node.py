@@ -1,10 +1,12 @@
 """A simulated compute node.
 
-A node tracks its current utilization (set by the workflow phases running on
-the cluster) and mirrors every change into an exact
-:class:`~repro.power.signal.PowerSignal` via its
-:class:`~repro.cluster.power.NodePowerModel`.  It also accumulates
-busy-seconds so CPU-utilization statistics can be reported per run.
+A node is a thin, stable view of one slot of a
+:class:`~repro.cluster.topology.Cage`, which owns the simulated state:
+utilization, DVFS frequency and the power its
+:class:`~repro.cluster.power.NodePowerModel` draws there.  Utilization,
+power, busy core-seconds and the node's power signal are all derived from
+the cage's history when asked for.  A node built on its own sits in a
+one-node cage until a larger cage adopts it.
 """
 
 from __future__ import annotations
@@ -12,15 +14,15 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.cluster.power import NodePowerModel
+from repro.cluster.topology import Cage, MemberSignal
 from repro.errors import ConfigurationError
 from repro.events.engine import Simulator
-from repro.power.signal import PowerSignal
 
 __all__ = ["Node"]
 
 
 class Node:
-    """One compute node: sockets × cores, a power model, and a power signal."""
+    """One compute node: sockets × cores and a power model, in a cage slot."""
 
     def __init__(
         self,
@@ -41,13 +43,11 @@ class Node:
         self.power_model = power_model
         self.cores_per_socket = cores_per_socket
         self.memory_gb = memory_gb
-        self._utilization = 0.0
-        self._frequency_ghz: Optional[float] = None
-        self._busy_core_seconds = 0.0
-        self._last_change = sim.now
-        self.power_signal = PowerSignal(
-            power_model.idle_watts, start_time=sim.now, name=f"node-{node_id:03d}"
-        )
+        # Set by the owning cage: a node built on its own gets a one-node
+        # cage until a larger cage adopts it.
+        self._cage: Cage
+        self._slot: int
+        Cage(node_id, [self])
 
     # --------------------------------------------------------------- queries
 
@@ -57,27 +57,41 @@ class Node:
         return self.power_model.n_sockets * self.cores_per_socket
 
     @property
+    def cage(self) -> Cage:
+        """The cage that owns this node's state."""
+        return self._cage
+
+    @property
+    def slot(self) -> int:
+        """This node's position in its cage."""
+        return self._slot
+
+    @property
     def utilization(self) -> float:
         """Current utilization in [0, 1]."""
-        return self._utilization
+        return self._cage.members.utilization[self._slot]
 
     @property
     def frequency_ghz(self) -> float:
         """Current operating frequency (base frequency unless DVFS'd)."""
-        if self._frequency_ghz is not None:
-            return self._frequency_ghz
+        frequency = self._cage.members.frequency_ghz[self._slot]
+        if frequency is not None:
+            return frequency
         return self.power_model.cpu.base_frequency_ghz
 
     @property
     def current_power(self) -> float:
         """Instantaneous node power draw in watts."""
-        return self.power_model.power(self._utilization, self._frequency_ghz)
+        return self._cage.members.watts[self._slot]
+
+    @property
+    def power_signal(self) -> MemberSignal:
+        """The node's exact power over time, read from its cage."""
+        return MemberSignal(self._cage, self._slot)
 
     def busy_core_seconds(self) -> float:
         """Accumulated core-busy-seconds up to the current simulated time."""
-        return self._busy_core_seconds + self._utilization * self.n_cores * (
-            self.sim.now - self._last_change
-        )
+        return self.n_cores * self._cage.busy_seconds(self._slot)
 
     # --------------------------------------------------------------- control
 
@@ -85,15 +99,15 @@ class Node:
         """Change the node's utilization (and optionally DVFS frequency) *now*."""
         if not 0.0 <= utilization <= 1.0:
             raise ConfigurationError(f"utilization outside [0, 1]: {utilization}")
-        now = self.sim.now
-        self._busy_core_seconds += self._utilization * self.n_cores * (now - self._last_change)
-        self._last_change = now
-        self._utilization = utilization
-        self._frequency_ghz = frequency_ghz
-        self.power_signal.set(now, self.current_power)
+        self._cage.set_members(
+            utilization,
+            self.power_model.power(utilization, frequency_ghz),
+            frequency_ghz=frequency_ghz,
+            slots=(self._slot,),
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Node {self.node_id} util={self._utilization:.2f} "
+            f"<Node {self.node_id} util={self.utilization:.2f} "
             f"{self.current_power:.0f} W @ {self.sim.now:.1f}s>"
         )

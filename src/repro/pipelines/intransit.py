@@ -136,27 +136,23 @@ class InTransitPipeline(Pipeline):
             for i in range(n_out):
                 item = yield inbox.get()
                 # Receive the shipped shards onto the staging partition.
-                for node in staging_nodes:
-                    node.set_utilization(cluster.phases.io_wait)
+                cluster.set_utilization(cluster.phases.io_wait, nodes=staging_nodes)
                 yield sim.timeout(transfer_s)
                 # Render concurrently with the ongoing simulation.
                 t0 = sim.now
-                for node in staging_nodes:
-                    node.set_utilization(cluster.phases.render)
+                cluster.set_utilization(cluster.phases.render, nodes=staging_nodes)
                 yield sim.timeout(render_s)
                 timeline.add("viz", t0, sim.now)
                 # Commit the image set.
                 t0 = sim.now
-                for node in staging_nodes:
-                    node.set_utilization(cluster.phases.io_wait)
+                cluster.set_utilization(cluster.phases.io_wait, nodes=staging_nodes)
                 yield from platform.pio.write_simulated(
                     platform.io_backend,
                     f"{spec.output_prefix}/cinema/sample-{item:05d}.png",
                     sample_bytes,
                 )
                 timeline.add("io", t0, sim.now)
-                for node in staging_nodes:
-                    node.set_utilization(cluster.phases.idle)
+                cluster.set_utilization(cluster.phases.idle, nodes=staging_nodes)
                 for cam in range(spec.images.images_per_sample):
                     cinema.add_accounted({"time": item, "camera": cam}, int(image_bytes))
                 artifacts["n_images"] += spec.images.images_per_sample
@@ -167,12 +163,10 @@ class InTransitPipeline(Pipeline):
 
         for i in range(n_out):
             t0 = sim.now
-            for node in sim_nodes:
-                node.set_utilization(cluster.phases.simulation)
+            cluster.set_utilization(cluster.phases.simulation, nodes=sim_nodes)
             yield sim.timeout(k * step_s)
             timeline.add("simulation", t0, sim.now)
-            for node in sim_nodes:
-                node.set_utilization(cluster.phases.idle)
+            cluster.set_utilization(cluster.phases.idle, nodes=sim_nodes)
             # Back-pressure: wait for a staging slot, then hand the sample off.
             t0 = sim.now
             yield slots.get()
@@ -183,12 +177,10 @@ class InTransitPipeline(Pipeline):
         leftover = spec.ocean.n_timesteps - n_out * k
         if leftover > 0:
             t0 = sim.now
-            for node in sim_nodes:
-                node.set_utilization(cluster.phases.simulation)
+            cluster.set_utilization(cluster.phases.simulation, nodes=sim_nodes)
             yield sim.timeout(leftover * step_s)
             timeline.add("simulation", t0, sim.now)
-            for node in sim_nodes:
-                node.set_utilization(cluster.phases.idle)
+            cluster.set_utilization(cluster.phases.idle, nodes=sim_nodes)
         # Drain the staging partition.
         t0 = sim.now
         yield done

@@ -78,7 +78,12 @@ class PowerMeter:
         """Produce the meter's trace for the window ``[t0, t1]``."""
         if not self._signals:
             raise MeterError(f"meter {self.name!r} has no attached signals")
-        combined = PowerSignal.total(self._signals, name=self.name)
+        # One attached signal (a cage total, the storage rack) is read as is.
+        combined = (
+            self._signals[0]
+            if len(self._signals) == 1
+            else PowerSignal.total(self._signals, name=self.name)
+        )
         trace = PowerTrace.from_signal(
             combined, t0, t1, interval if interval is not None else self.interval, name=self.name
         )

@@ -125,8 +125,15 @@ class TestCageAndInterconnect:
     def test_cage_attaches_monitor(self, sim):
         nodes = [Node(sim, i, e5_2670_node()) for i in range(10)]
         cage = Cage(0, nodes)
-        assert cage.monitor.n_signals == 10
         assert len(cage) == 10
+        assert cage.nodes == nodes
+        nodes[3].set_utilization(1.0)
+        nodes[7].set_utilization(0.5)
+        sim.timeout(60.0)
+        sim.run()
+        expected = sum(n.current_power for n in nodes)
+        assert cage.monitor.instantaneous(60.0) == pytest.approx(expected)
+        assert cage.monitor.read(0.0, 60.0).watts[0] == pytest.approx(expected)
 
     def test_cage_size_limit(self, sim):
         nodes = [Node(sim, i, e5_2670_node()) for i in range(11)]

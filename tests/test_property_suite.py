@@ -2,7 +2,8 @@
 
 Hypothesis-driven invariants that span module boundaries: the analytical
 model's algebraic identities, meter/trace consistency, eddy-detection
-symmetries and the sampling calendar's arithmetic.
+symmetries, the sampling calendar's arithmetic and the cage-level power
+state's agreement with per-node power signals.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.machine import ComputeCluster
 from repro.core.model import DataModel, PerformanceModel, PipelinePredictor
+from repro.events.engine import Simulator
 from repro.ocean.driver import MPASOceanConfig
 from repro.ocean.eddies import detect_eddies
 from repro.ocean.okubo_weiss import okubo_weiss
@@ -109,6 +112,72 @@ class TestMeterConsistency:
     def test_average_between_min_and_max(self, watts):
         trace = PowerTrace(0.0, 60.0, watts)
         assert min(watts) - 1e-9 <= trace.average_power() <= max(watts) + 1e-9
+
+
+_LEVELS = st.one_of(
+    st.sampled_from([0.0, 0.85, 0.92, 0.95, 1.0]),
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+)
+_SCHEDULE_STEP = st.tuples(
+    st.sampled_from([0.0, 0.0, 0.5, 30.0, 60.0, 95.25]),  # dt; 0 repeats a timestamp
+    st.sampled_from(["all", "subset", "node", "idle"]),
+    _LEVELS,
+    st.lists(st.integers(min_value=0, max_value=22), max_size=23),
+    st.one_of(st.none(), st.floats(min_value=1.2, max_value=2.6, allow_nan=False)),
+)
+
+
+class TestCagePowerState:
+    """The cage monitors sum exactly what per-node signals would sum."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(schedule=st.lists(_SCHEDULE_STEP, min_size=1, max_size=25))
+    def test_cage_state_matches_per_node_signals(self, schedule):
+        sim = Simulator()
+        cluster = ComputeCluster(sim, n_nodes=23, nodes_per_cage=10)
+        model = cluster.node_model
+        # The reference: one signal per node, fed the same schedule.
+        refs = [PowerSignal(model.idle_watts, name=f"node-{i:03d}") for i in range(23)]
+
+        def drive():
+            for dt, kind, level, picked, frequency in schedule:
+                if dt:
+                    yield sim.timeout(dt)
+                if kind == "node":
+                    for i in picked[:1]:
+                        cluster.nodes[i].set_utilization(level, frequency_ghz=frequency)
+                        refs[i].set(sim.now, model.power(level, frequency))
+                    continue
+                if kind == "idle":
+                    level = 0.0
+                targets = picked if kind == "subset" else range(23)
+                cluster.set_utilization(
+                    level, nodes=[cluster.nodes[i] for i in picked] if kind == "subset" else None
+                )
+                for i in targets:
+                    refs[i].set(sim.now, model.power(level))
+
+        sim.process(drive())
+        sim.run()
+        end = sim.now + 90.0
+        assert [len(cage) for cage in cluster.cages] == [10, 10, 3]
+        for cage in cluster.cages:
+            members = [refs[node.node_id] for node in cage.nodes]
+            reference = PowerTrace.from_signal(
+                PowerSignal.total(members), 0.0, end, cage.monitor.interval
+            )
+            got = cage.monitor.read(0.0, end)
+            assert got.watts.tolist() == reference.watts.tolist()
+            assert (got.start, got.dt, got.final_dt) == (
+                reference.start, reference.dt, reference.final_dt
+            )
+        probes = sorted({0.0, end} | {t for ref in refs for t, _ in ref.breakpoints})
+        probes += [t + 0.25 for t in probes]
+        for node, ref in zip(cluster.nodes, refs):
+            assert [node.power_signal.value_at(t) for t in probes] == [
+                ref.value_at(t) for t in probes
+            ]
+            assert node.current_power == ref.value_at(end)
 
 
 class TestEddySymmetries:
