@@ -3,6 +3,8 @@
 :func:`render_field` produces a real RGB image from a scalar field through a
 camera (pan/zoom viewport) with bilinear resampling and optional contour
 overlays — the "one set of images per timestep" of the paper's pipelines.
+The overlay extracts every level's contours as arrays and rasterizes them all
+in one batched :meth:`~repro.viz.image.Image.draw_polylines` call.
 
 :class:`RenderCostModel` estimates what the same render costs at campaign
 scale on a simulated cluster: per-cell rasterization work, binary-swap
@@ -135,9 +137,11 @@ def render_field(
     rows, cols = cam.sample_coordinates(field.shape, width, height)
     resampled = _bilinear(field, rows, cols, periodic)
     image = Image(colormap.apply(resampled, vmin=vmin, vmax=vmax))
-    for level in contour_levels:
-        for line in marching_squares(resampled, level):
-            image.draw_polyline(line, color=contour_color)
+    # One color for every level, so one rasterization pass draws them all.
+    image.draw_polylines(
+        [line for level in contour_levels for line in marching_squares(resampled, level)],
+        color=contour_color,
+    )
     return image
 
 

@@ -2,8 +2,10 @@
 
 Hypothesis-driven invariants that span module boundaries: the analytical
 model's algebraic identities, meter/trace consistency, eddy-detection
-symmetries, the sampling calendar's arithmetic and the cage-level power
-state's agreement with per-node power signals.
+symmetries, the sampling calendar's arithmetic, the cage-level power
+state's agreement with per-node power signals, and the array-at-a-time
+contour extractor and segment rasterizer's agreement with the per-cell and
+per-segment loops they replaced.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.cluster.machine import ComputeCluster
 from repro.core.model import DataModel, PerformanceModel, PipelinePredictor
@@ -22,6 +25,8 @@ from repro.ocean.okubo_weiss import okubo_weiss
 from repro.pipelines.sampling import SamplingPolicy
 from repro.power.signal import PowerSignal
 from repro.power.trace import PowerTrace
+from repro.viz.contour import _CASES, marching_squares
+from repro.viz.image import Image
 
 
 def _predictor(alpha, beta, t_sim, power):
@@ -236,3 +241,183 @@ class TestSamplingArithmetic:
     def test_rate_ratio_antisymmetry(self, a, b):
         pa, pb = SamplingPolicy(a * 0.5), SamplingPolicy(b * 0.5)
         assert pa.rate_ratio(pb) == pytest.approx(1.0 / pb.rate_ratio(pa))
+
+
+# -- Reference oracles: the per-cell contour loop and per-segment rasterizer --
+
+
+def _reference_edge_point(edge, r, c, f, level):
+    if edge == 0:  # top: (r, c) -> (r, c+1)
+        a, b = f[r, c], f[r, c + 1]
+        t = (level - a) / (b - a)
+        return (float(r), c + float(t))
+    if edge == 1:  # right: (r, c+1) -> (r+1, c+1)
+        a, b = f[r, c + 1], f[r + 1, c + 1]
+        t = (level - a) / (b - a)
+        return (r + float(t), float(c + 1))
+    if edge == 2:  # bottom: (r+1, c) -> (r+1, c+1)
+        a, b = f[r + 1, c], f[r + 1, c + 1]
+        t = (level - a) / (b - a)
+        return (float(r + 1), c + float(t))
+    # left: (r, c) -> (r+1, c)
+    a, b = f[r, c], f[r + 1, c]
+    t = (level - a) / (b - a)
+    return (r + float(t), float(c))
+
+
+def _reference_marching_squares(field, level):
+    f = np.asarray(field, dtype=float)
+    eps = 1e-12 * (np.abs(f).max() + 1.0)
+    f = np.where(f == level, f + eps, f)
+    above = f > level
+    segments = []
+    nrows, ncols = f.shape
+    for r in range(nrows - 1):
+        for c in range(ncols - 1):
+            case = (
+                (1 if above[r, c] else 0)
+                | (2 if above[r, c + 1] else 0)
+                | (4 if above[r + 1, c + 1] else 0)
+                | (8 if above[r + 1, c] else 0)
+            )
+            pairs = _CASES[case]
+            if case in (5, 10):
+                center = 0.25 * (f[r, c] + f[r, c + 1] + f[r + 1, c] + f[r + 1, c + 1])
+                if case == 5 and center > level:
+                    pairs = ((0, 1), (3, 2))
+                elif case == 10 and center > level:
+                    pairs = ((3, 0), (1, 2))
+            for e0, e1 in pairs:
+                segments.append(
+                    (
+                        _reference_edge_point(e0, r, c, f, level),
+                        _reference_edge_point(e1, r, c, f, level),
+                    )
+                )
+    return _reference_chain_segments(segments)
+
+
+def _reference_chain_segments(segments):
+    if not segments:
+        return []
+
+    def key(p):
+        return (round(p[0] * 1e6), round(p[1] * 1e6))
+
+    endpoints = {}
+    for i, (a, b) in enumerate(segments):
+        endpoints.setdefault(key(a), []).append((i, 0))
+        endpoints.setdefault(key(b), []).append((i, 1))
+    used = [False] * len(segments)
+    polylines = []
+    for start in range(len(segments)):
+        if used[start]:
+            continue
+        used[start] = True
+        a, b = segments[start]
+        chain = [a, b]
+        for grow_tail in (True, False):
+            while True:
+                tip = chain[-1] if grow_tail else chain[0]
+                options = [(i, end) for i, end in endpoints.get(key(tip), []) if not used[i]]
+                if not options:
+                    break
+                i, end = options[0]
+                used[i] = True
+                nxt = segments[i][1 - end]
+                if grow_tail:
+                    chain.append(nxt)
+                else:
+                    chain.insert(0, nxt)
+        polylines.append(np.array(chain))
+    return polylines
+
+
+def _reference_draw_polyline(pixels, points, color):
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
+        return
+    height, width = pixels.shape[:2]
+    for (r0, c0), (r1, c1) in zip(pts[:-1], pts[1:]):
+        n = int(max(abs(r1 - r0), abs(c1 - c0), 1)) + 1
+        rr = np.linspace(r0, r1, n).round().astype(int)
+        cc = np.linspace(c0, c1, n).round().astype(int)
+        ok = (rr >= 0) & (rr < height) & (cc >= 0) & (cc < width)
+        pixels[rr[ok], cc[ok]] = color
+
+
+@st.composite
+def _contour_case(draw):
+    """A small field and a level: random, integer, constant or saddle-heavy."""
+    shape = (draw(st.integers(2, 40)), draw(st.integers(2, 40)))
+    kind = draw(st.sampled_from(["float", "integer", "constant", "saddle"]))
+    if kind == "float":
+        field = draw(hnp.arrays(float, shape, elements=st.floats(-50.0, 50.0)))
+    elif kind == "integer":
+        field = draw(hnp.arrays(np.int8, shape, elements=st.integers(-3, 3))).astype(float)
+    elif kind == "constant":
+        field = np.full(shape, draw(st.floats(-5.0, 5.0)))
+    else:
+        sign = np.where(np.add.outer(np.arange(shape[0]), np.arange(shape[1])) % 2, -1.0, 1.0)
+        magnitude = draw(hnp.arrays(float, shape, elements=st.floats(0.1, 2.0)))
+        field = sign * magnitude + draw(st.floats(-0.5, 0.5))
+    # Exact hits on a vertex value exercise the epsilon nudge.
+    level = draw(st.one_of(st.floats(-50.0, 50.0), st.sampled_from(field.ravel().tolist())))
+    return field, level
+
+
+_COORD = st.one_of(
+    st.floats(-4.0, 34.0),
+    st.integers(-2, 32).map(float),
+    st.integers(-2, 32).map(lambda k: k + 0.5),  # rounding ties
+)
+
+
+@st.composite
+def _polylines(draw):
+    """Polylines with sub-pixel, zero-length, steep and out-of-bounds segments."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        r, c = draw(_COORD), draw(_COORD)
+        points = [(r, c)]
+        for _ in range(draw(st.integers(0, 6))):
+            move = draw(st.sampled_from(["jump", "stay", "nudge", "steep"]))
+            if move == "jump":
+                r, c = draw(_COORD), draw(_COORD)
+            elif move == "nudge":  # sub-pixel, down to denormal offsets
+                tiny = st.sampled_from([0.0, 5e-324, -5e-324, 1e-300, 1e-9, 0.3])
+                r, c = r + draw(tiny), c + draw(tiny)
+            elif move == "steep":
+                r += draw(st.floats(-30.0, 30.0))
+            points.append((r, c))
+        lines.append(np.array(points))
+    return lines
+
+
+class TestArrayContouring:
+    """Array-at-a-time contouring and rasterization equal the loops they replaced."""
+
+    @settings(deadline=None, max_examples=120)
+    @given(case=_contour_case())
+    def test_marching_squares_matches_per_cell_loop(self, case):
+        field, level = case
+        got = marching_squares(field, level)
+        want = _reference_marching_squares(field, level)
+        assert [line.shape for line in got] == [line.shape for line in want]
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+            assert g.tobytes() == w.tobytes()
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        lines=_polylines(),
+        height=st.integers(1, 30),
+        width=st.integers(1, 30),
+    )
+    def test_batched_rasterizer_matches_per_segment_linspace(self, lines, height, width):
+        got = Image.blank(width, height)
+        got.draw_polylines(lines, color=(255, 128, 7))
+        want = np.zeros((height, width, 3), dtype=np.uint8)
+        for line in lines:
+            _reference_draw_polyline(want, line, (255, 128, 7))
+        assert np.array_equal(got.pixels, want)

@@ -229,6 +229,37 @@ class TestImage:
         img.draw_polyline(np.zeros((1, 2)))
         assert (img.pixels == 0).all()
 
+    def test_segment_ends_exactly_on_its_stop_vertex(self):
+        # 6 steps of (6.5 - 0.2) / 6 from 0.2 land on 6.500000000000001,
+        # which would round to row 7; the last sample is the stop itself,
+        # 6.5, which rounds half to even to row 6.
+        img = Image.blank(3, 10)
+        img.draw_polyline(np.array([[0.2, 1.0], [6.5, 1.0]]), color=(255, 0, 0))
+        rows = np.flatnonzero(img.pixels[:, 1, 0] == 255)
+        assert rows.tolist() == [0, 1, 2, 3, 4, 5, 6]
+
+    def test_draw_polylines_draws_every_line(self):
+        img = Image.blank(10, 10)
+        img.draw_polylines(
+            [np.array([[0.0, 0.0], [0.0, 9.0]]), np.zeros((1, 2)),
+             np.array([[9.0, 0.0], [9.0, 9.0]])],
+            color=(0, 255, 0),
+        )
+        assert (img.pixels[0, :, 1] == 255).all() and (img.pixels[9, :, 1] == 255).all()
+        assert (img.pixels[1:9] == 0).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vertex_rejected(self, bad):
+        img = Image.blank(10, 10)
+        with pytest.raises(ConfigurationError, match=r"polyline 0 has a non-finite vertex 1"):
+            img.draw_polyline(np.array([[0.0, 0.0], [bad, 3.0], [5.0, 5.0]]))
+        with pytest.raises(ConfigurationError, match=r"polyline 2 has a non-finite vertex 0"):
+            img.draw_polylines(
+                [np.array([[0.0, 0.0], [1.0, 1.0]]), np.zeros((1, 2)),
+                 np.array([[2.0, bad], [3.0, 3.0]])]
+            )
+        assert (img.pixels == 0).all()
+
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         img = Image(rng.integers(0, 256, size=(12, 9, 3), dtype=np.uint8))

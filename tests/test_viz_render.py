@@ -77,6 +77,11 @@ class TestMarchingSquares:
         with pytest.raises(ConfigurationError):
             marching_squares(np.zeros((1, 5)), 0.0)
 
+    def test_non_finite_crossing_rejected(self):
+        field = np.array([[0.0, 1.0], [np.nan, 1.0]])
+        with pytest.raises(ConfigurationError, match="non-finite contour vertex"):
+            marching_squares(field, level=0.5)
+
     def test_interpolation_position(self):
         field = np.array([[0.0, 1.0], [0.0, 1.0]])
         lines = marching_squares(field, level=0.25)
