@@ -25,8 +25,6 @@ from repro.cluster.power import NodePowerModel, e5_2670_node
 from repro.cluster.topology import Cage, Interconnect, MemberSignal
 from repro.errors import ConfigurationError
 from repro.events.engine import Simulator
-from repro.legacy import UNSET as _UNSET
-from repro.legacy import merge_legacy_positionals as _merge_legacy_positionals
 from repro.power.meter import CageMonitor
 from repro.power.trace import PowerTrace
 
@@ -61,70 +59,43 @@ class ComputeCluster:
     def __init__(
         self,
         sim: Simulator,
-        *legacy,
+        *,
         config=None,
-        n_nodes=_UNSET,
-        node_model=_UNSET,
-        cores_per_socket=_UNSET,
-        nodes_per_cage=_UNSET,
-        interconnect=_UNSET,
-        phase_profile=_UNSET,
-        name=_UNSET,
+        n_nodes: Optional[int] = None,
+        node_model: Optional[NodePowerModel] = None,
+        cores_per_socket: Optional[int] = None,
+        nodes_per_cage: Optional[int] = None,
+        interconnect: Optional[Interconnect] = None,
+        phase_profile: Optional[PhaseProfile] = None,
+        name: Optional[str] = None,
     ) -> None:
         """Build a cluster from keywords and/or a frozen scenario sub-config.
 
         ``config`` is a duck-typed
         :class:`repro.scenario.schema.ClusterConfig` (attributes ``nodes``,
         ``cores_per_socket``, ``nodes_per_cage``, ``name``); explicit
-        keywords override it.  Positional arguments after ``sim`` are
-        deprecated (warn-once) — see ``docs/MIGRATION.md``.
+        keywords override it, and ``None`` means "take it from ``config``
+        or the default".
         """
-        values = {
-            "n_nodes": n_nodes,
-            "node_model": node_model,
-            "cores_per_socket": cores_per_socket,
-            "nodes_per_cage": nodes_per_cage,
-            "interconnect": interconnect,
-            "phase_profile": phase_profile,
-            "name": name,
-        }
-        if legacy:
-            _merge_legacy_positionals(
-                "ComputeCluster(sim, ...)",
-                values,
-                legacy,
-                "keyword arguments or config=ClusterConfig(...)",
-            )
         if config is not None:
-            for key, attr in (
-                ("n_nodes", "nodes"),
-                ("cores_per_socket", "cores_per_socket"),
-                ("nodes_per_cage", "nodes_per_cage"),
-                ("name", "name"),
-            ):
-                if values[key] is _UNSET:
-                    values[key] = getattr(config, attr)
-        if values["n_nodes"] is _UNSET:
+            if n_nodes is None:
+                n_nodes = config.nodes
+            if cores_per_socket is None:
+                cores_per_socket = config.cores_per_socket
+            if nodes_per_cage is None:
+                nodes_per_cage = config.nodes_per_cage
+            if name is None:
+                name = config.name
+        if n_nodes is None:
             raise ConfigurationError(
                 "ComputeCluster needs n_nodes= (or config=ClusterConfig(...))"
             )
-        n_nodes = values["n_nodes"]
-        node_model = None if values["node_model"] is _UNSET else values["node_model"]
-        cores_per_socket = (
-            8 if values["cores_per_socket"] is _UNSET else values["cores_per_socket"]
-        )
-        nodes_per_cage = (
-            CageMonitor.NODES_PER_CAGE
-            if values["nodes_per_cage"] is _UNSET
-            else values["nodes_per_cage"]
-        )
-        interconnect = (
-            None if values["interconnect"] is _UNSET else values["interconnect"]
-        )
-        phase_profile = (
-            None if values["phase_profile"] is _UNSET else values["phase_profile"]
-        )
-        name = "cluster" if values["name"] is _UNSET else values["name"]
+        if cores_per_socket is None:
+            cores_per_socket = 8
+        if nodes_per_cage is None:
+            nodes_per_cage = CageMonitor.NODES_PER_CAGE
+        if name is None:
+            name = "cluster"
         if n_nodes < 1:
             raise ConfigurationError(f"cluster needs >= 1 node, got {n_nodes}")
         if nodes_per_cage < 1:

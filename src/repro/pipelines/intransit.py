@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 import queue
 import threading
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING, Generator, Optional
 
 import numpy as np
 
@@ -32,8 +32,6 @@ from repro import obs
 from repro.core.metrics import Measurement, PhaseTimeline
 from repro.errors import ConfigurationError
 from repro.events.resources import Store
-from repro.legacy import UNSET as _UNSET
-from repro.legacy import merge_legacy_positionals as _merge_legacy_positionals
 from repro.pipelines.base import Pipeline, PipelineSpec
 from repro.viz.cinema import CinemaDatabase
 from repro.viz.render import render_okubo_weiss
@@ -55,29 +53,17 @@ class InTransitPipeline(Pipeline):
 
     name = IN_TRANSIT
 
-    def __init__(self, *legacy, config=None, n_staging_nodes=_UNSET) -> None:
-        """Build the pipeline (``n_staging_nodes`` is keyword-only).
+    def __init__(self, *, config=None, n_staging_nodes: Optional[int] = None) -> None:
+        """Build the pipeline from keywords and/or a scenario sub-config.
 
         ``config`` is a duck-typed
         :class:`repro.scenario.schema.PipelineConfig` whose
         ``staging_nodes`` (when set) provides the partition size; an
-        explicit ``n_staging_nodes=`` wins.  The old positional spelling
-        ``InTransitPipeline(15)`` warns once — see ``docs/MIGRATION.md``.
+        explicit ``n_staging_nodes=`` wins.  The default is 15 nodes.
         """
-        values = {"n_staging_nodes": n_staging_nodes}
-        if legacy:
-            _merge_legacy_positionals(
-                "InTransitPipeline(...)",
-                values,
-                legacy,
-                "InTransitPipeline(n_staging_nodes=...) or config=PipelineConfig(...)",
-            )
-        n_staging_nodes = values["n_staging_nodes"]
-        if n_staging_nodes is _UNSET and config is not None:
-            staged = getattr(config, "staging_nodes", None)
-            if staged is not None:
-                n_staging_nodes = staged
-        if n_staging_nodes is _UNSET:
+        if n_staging_nodes is None and config is not None:
+            n_staging_nodes = getattr(config, "staging_nodes", None)
+        if n_staging_nodes is None:
             n_staging_nodes = 15
         if n_staging_nodes < 1:
             raise ConfigurationError(

@@ -1,17 +1,18 @@
 """Tests for the execution engine: the RunRequest/RunResult API, the
-content-addressed cache, parallel-vs-serial bit-identity, deprecation
-shims, and the ``repro bench`` runner."""
+content-addressed cache, parallel-vs-serial bit-identity, the single
+keyword-only spelling of builders and sweeps, and the ``repro bench``
+runner."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import os
-import warnings
 
 import pytest
 
 from repro import obs, paper
+from repro.cluster.machine import ComputeCluster
 from repro.core.metrics import IN_SITU, POST_PROCESSING
 from repro.core.model import DataModel, PerformanceModel, PipelinePredictor
 from repro.core.whatif import (
@@ -23,13 +24,13 @@ from repro.core.whatif import (
     WhatIfAnalyzer,
 )
 from repro.errors import ConfigurationError
+from repro.events.engine import Simulator
 from repro.exec.api import (
     MODE_REAL,
     RunRequest,
     RunResult,
     build_pipeline,
     pipeline_factories,
-    reset_legacy_warnings,
 )
 from repro.exec.bench import compare_to_baseline, run_bench, write_report
 from repro.exec.cache import QUARANTINE_DIRNAME, DiskCache
@@ -37,11 +38,11 @@ from repro.exec.engine import ExecutionEngine, execute_request
 from repro.obs.manifest import SCHEMA_VERSION
 from repro.ocean.driver import MPASOceanConfig
 from repro.pipelines.base import PipelineSpec
-from repro.pipelines.insitu import InSituPipeline
 from repro.pipelines.intransit import InTransitPipeline
-from repro.pipelines.platform import SimulatedPlatform
+from repro.pipelines.platform import RealPlatform, RealScale, SimulatedPlatform
 from repro.pipelines.postprocessing import PostProcessingPipeline
 from repro.pipelines.sampling import SamplingPolicy
+from repro.storage.lustre import LustreFileSystem, StorageCluster
 from repro.units import MONTH, years
 
 
@@ -288,32 +289,54 @@ class TestExecutionEngine:
         assert warm.recoveries == cold.recoveries
 
 
-class TestDeprecationShims:
-    def test_simulated_platform_run_warns_once(self):
-        reset_legacy_warnings()
-        spec = tiny_spec()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = SimulatedPlatform().run(InSituPipeline(), spec)  # repro-lint: disable=api-deprecated
-            SimulatedPlatform().run(InSituPipeline(), spec)  # repro-lint: disable=api-deprecated
-        relevant = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(relevant) == 1
-        assert "docs/MIGRATION.md" in str(relevant[0].message)
-        # The shim and the new path produce the identical measurement.
-        modern = InSituPipeline().execute(RunRequest(spec=spec)).measurement
-        assert legacy.to_dict() == modern.to_dict()
+CENTURY = years(paper.WHATIF_YEARS)
 
-    def test_positional_sweep_warns_once_and_matches_keyword(self, analyzer):
-        reset_legacy_warnings()
-        century = years(paper.WHATIF_YEARS)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = analyzer.sweep([24.0], century)  # repro-lint: disable=api-deprecated
-            analyzer.sweep([24.0], century)  # repro-lint: disable=api-deprecated
-        relevant = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(relevant) == 1
-        modern = analyzer.sweep(intervals_hours=[24.0], duration_seconds=century)
-        assert legacy.to_dict() == modern.to_dict()
+
+def _storage_cluster(sim: Simulator) -> StorageCluster:
+    return StorageCluster(sim, LustreFileSystem(sim))
+
+
+#: Every retired spelling, with the error Python now raises for it: the
+#: builders and sweeps are keyword-only, and the platforms have no ``run``.
+#: Each case is called with ``(analyzer, workdir)``.
+OLD_SPELLINGS = {
+    "ComputeCluster(sim, 20)": (
+        TypeError, lambda a, d: ComputeCluster(Simulator(), 20)
+    ),
+    "LustreFileSystem(sim, 1e12)": (
+        TypeError, lambda a, d: LustreFileSystem(Simulator(), 1e12)
+    ),
+    "StorageCluster(sim, fs)": (TypeError, lambda a, d: _storage_cluster(Simulator())),
+    "SimulatedPlatform(cluster)": (
+        TypeError,
+        lambda a, d: SimulatedPlatform(ComputeCluster(Simulator(), n_nodes=2)),
+    ),
+    "RealPlatform(workdir, scale)": (
+        TypeError, lambda a, d: RealPlatform(str(d), RealScale())
+    ),
+    "InTransitPipeline(7)": (TypeError, lambda a, d: InTransitPipeline(7)),
+    "sweep(intervals, duration)": (TypeError, lambda a, d: a.sweep([24.0], CENTURY)),
+    "storage_vs_rate(intervals, duration)": (
+        TypeError, lambda a, d: a.storage_vs_rate([24.0], CENTURY)
+    ),
+    "energy_vs_rate(intervals, duration)": (
+        TypeError, lambda a, d: a.energy_vs_rate([24.0], CENTURY)
+    ),
+    "failure_aware_sweep(intervals, duration, mtbf, write)": (
+        TypeError, lambda a, d: a.failure_aware_sweep([24.0], CENTURY, 6.0, 60.0)
+    ),
+    "SimulatedPlatform.run": (AttributeError, lambda a, d: SimulatedPlatform.run),
+    "RealPlatform.run": (AttributeError, lambda a, d: RealPlatform.run),
+}
+
+
+class TestOneSpelling:
+    @pytest.mark.parametrize("spelling", sorted(OLD_SPELLINGS))
+    def test_old_spelling_fails_loudly(self, spelling, analyzer, tmp_path):
+        error, call = OLD_SPELLINGS[spelling]
+        match = "positional argument" if error is TypeError else "'run'"
+        with pytest.raises(error, match=match):
+            call(analyzer, tmp_path / "real")
 
     def test_missing_keywords_raise_type_error(self, analyzer):
         with pytest.raises(TypeError, match="intervals_hours"):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import warnings
 from pathlib import Path
 
 import pytest
@@ -525,52 +524,6 @@ class TestByteIdentity:
 
 
 class TestKeywordOnlyBuilders:
-    def setup_method(self):
-        from repro.exec.api import reset_legacy_warnings
-
-        reset_legacy_warnings()
-
-    def test_positional_compute_cluster_warns_once(self):
-        from repro.cluster.machine import ComputeCluster
-        from repro.events.engine import Simulator
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            # repro-lint: disable=api-deprecated
-            cluster = ComputeCluster(Simulator(), 20)
-            ComputeCluster(Simulator(), 30)  # repro-lint: disable=api-deprecated
-        assert cluster.n_nodes == 20
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "ComputeCluster" in str(deprecations[0].message)
-
-    def test_positional_intransit_warns(self):
-        from repro.pipelines.intransit import InTransitPipeline
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            pipe = InTransitPipeline(7)  # repro-lint: disable=api-deprecated
-        assert pipe.n_staging_nodes == 7
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-
-    def test_double_assignment_is_type_error(self):
-        from repro.cluster.machine import ComputeCluster
-        from repro.events.engine import Simulator
-
-        with pytest.raises(TypeError, match="multiple values"):
-            # repro-lint: disable=api-deprecated
-            ComputeCluster(Simulator(), 20, n_nodes=30)
-
-    def test_too_many_positionals_is_type_error(self):
-        from repro.pipelines.intransit import InTransitPipeline
-
-        with pytest.raises(TypeError, match="at most"):
-            InTransitPipeline(1, 2)  # repro-lint: disable=api-deprecated
-
     def test_builders_accept_scenario_sub_configs(self):
         from repro.cluster.machine import ComputeCluster
         from repro.events.engine import Simulator
@@ -598,37 +551,3 @@ class TestKeywordOnlyBuilders:
             Simulator(), config=ClusterConfig(nodes=12), n_nodes=9
         )
         assert cluster.n_nodes == 9
-
-
-class TestLintRule:
-    def _run(self, tmp_path, source):
-        from repro.lint.engine import LintRunner
-
-        target = tmp_path / "sample.py"
-        target.write_text(source)
-        return LintRunner(select=["api-deprecated"]).run([str(target)])
-
-    def test_positional_builder_flagged(self, tmp_path):
-        findings = self._run(
-            tmp_path,
-            "from repro.pipelines.intransit import InTransitPipeline\n"
-            "p = InTransitPipeline(20)\n",
-        )
-        assert any(f.rule == "api-deprecated" for f in findings)
-
-    def test_keyword_builder_clean(self, tmp_path):
-        findings = self._run(
-            tmp_path,
-            "from repro.pipelines.intransit import InTransitPipeline\n"
-            "p = InTransitPipeline(n_staging_nodes=20)\n"
-            "q = InTransitPipeline(config=cfg)\n",
-        )
-        assert findings == []
-
-    def test_anchor_positionals_allowed(self, tmp_path):
-        findings = self._run(
-            tmp_path,
-            "from repro.cluster.machine import ComputeCluster\n"
-            "c = ComputeCluster(sim, n_nodes=10)\n",
-        )
-        assert findings == []

@@ -5,7 +5,6 @@ helpers in ``repro.atomicio``."""
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
@@ -29,7 +28,6 @@ from repro.obs.exporters import read_jsonl
 from repro.obs.watch import default_exec_rules
 from repro.ocean.driver import MPASOceanConfig
 from repro.pipelines.base import PipelineSpec
-from repro.pipelines.insitu import InSituPipeline
 from repro.pipelines.sampling import SamplingPolicy
 from repro.units import MONTH
 
@@ -376,17 +374,25 @@ class TestAtomicIO:
 
 
 class TestCliIntegration:
+    @staticmethod
+    def _engine(args):
+        """The engine the CLI builds from execution flags."""
+        from repro.scenario.build import _execution_from_args, build_engine
+        from repro.scenario.schema import Scenario
+
+        return build_engine(
+            Scenario(name="report", execution=_execution_from_args(args))
+        )
+
     def test_engine_builder_upgrades_to_supervised(self):
         import argparse
-
-        from repro.cli import _engine
 
         args = argparse.Namespace(
             workers=2, cache=None, supervise=True, deadline=10.0,
             task_retries=4, max_worker_crashes=2, fail_policy="skip",
             journal=None, resume=False,
         )
-        engine = _engine(args)
+        engine = self._engine(args)
         assert isinstance(engine, SupervisedExecutor)
         assert engine.policy.deadline_seconds == 10.0
         assert engine.policy.retry.max_attempts == 4
@@ -396,14 +402,12 @@ class TestCliIntegration:
     def test_engine_builder_plain_without_supervision(self):
         import argparse
 
-        from repro.cli import _engine
-
         args = argparse.Namespace(
             workers=2, cache=None, supervise=False, deadline=None,
             task_retries=None, max_worker_crashes=None, fail_policy=None,
             journal=None, resume=False,
         )
-        engine = _engine(args)
+        engine = self._engine(args)
         assert isinstance(engine, ExecutionEngine)
         assert not isinstance(engine, SupervisedExecutor)
 
@@ -413,22 +417,3 @@ class TestCliIntegration:
         code = main(["characterize", "--resume"])
         assert code == 2
         assert "--resume needs both" in capsys.readouterr().err
-
-
-class TestExecuteMany:
-    def test_pipeline_execute_many_binds_and_supervises(self, tmp_path):
-        journal = str(tmp_path / "sweep.journal.jsonl")
-        cache = DiskCache(str(tmp_path / "cache"), code_version="v1")
-        pipeline = InSituPipeline()
-        requests = [RunRequest(spec=tiny_spec(h)) for h in (24.0, 72.0)]
-        results = pipeline.execute_many(
-            requests, workers=2, cache=cache, journal=journal
-        )
-        assert [r.request.pipeline for r in results] == [IN_SITU, IN_SITU]
-        assert all(r.ok for r in results)
-        assert os.path.exists(journal)
-        # Re-running with resume replays both from the cache.
-        again = pipeline.execute_many(
-            requests, workers=2, cache=cache, journal=journal, resume=True
-        )
-        assert [r.engine for r in again] == ["cache", "cache"]
