@@ -98,33 +98,27 @@ def build_parser() -> argparse.ArgumentParser:
             help="memoize completed runs in this on-disk cache",
         )
         p.add_argument(
-            "--supervise", action="store_true",
-            help="supervised execution: worker-crash recovery, bounded "
-            "retries, structured failure records (see docs/RESILIENCE.md)",
-        )
-        p.add_argument(
             "--deadline", type=float, default=None, metavar="SECONDS",
-            help="per-task wall-clock deadline (implies --supervise)",
+            help="per-task wall-clock deadline for pooled runs "
+            "(see docs/RESILIENCE.md)",
         )
         p.add_argument(
             "--task-retries", type=int, default=None, metavar="N",
-            help="attempts per task including the first (implies --supervise)",
+            help="attempts per task including the first (default 3)",
         )
         p.add_argument(
             "--max-worker-crashes", type=int, default=None, metavar="N",
             help="worker crashes before a task is quarantined as poison "
-            "(implies --supervise)",
+            "(default 3)",
         )
         p.add_argument(
             "--fail-policy", default=None,
             choices=["abort", "skip", "serial-fallback"],
-            help="what an exhausted task does to the sweep "
-            "(implies --supervise; default abort)",
+            help="what an exhausted task does to the sweep (default abort)",
         )
         p.add_argument(
             "--journal", default=None, metavar="PATH",
-            help="append per-task outcomes to this sweep journal "
-            "(implies --supervise)",
+            help="append per-task outcomes to this sweep journal",
         )
         p.add_argument(
             "--resume", action="store_true",
@@ -746,7 +740,7 @@ _COMMANDS = {
 
 
 def _report_sweep_failure(exc) -> int:
-    """Structured stderr summary of a failed supervised sweep; exit 3."""
+    """Structured stderr summary of a failed sweep; exit 3."""
     print(f"error: {exc}", file=sys.stderr)
     for record in exc.failures:
         attempts = record.get("attempts") or []

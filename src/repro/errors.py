@@ -119,7 +119,7 @@ class RetryExhaustedError(FaultError):
 
 
 class SweepError(ReproError):
-    """A supervised sweep settled with one or more failed tasks.
+    """A sweep settled with one or more failed tasks.
 
     Raised by the ``abort`` fail-policy (and by aggregators like
     ``run_characterization`` that cannot tolerate missing cells).

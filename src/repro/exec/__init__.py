@@ -1,9 +1,11 @@
 """The experiment-execution engine (``repro.exec``).
 
 One unified API for running pipelines — :class:`RunRequest` in,
-:class:`RunResult` out — behind three interchangeable execution strategies:
-inline, fanned out over a process pool (bit-identical to serial), or
-replayed from a content-addressed on-disk cache.
+:class:`RunResult` out — behind one :class:`ExecutionEngine` that runs a
+sweep inline, fans it out over a process pool (bit-identical to serial), or
+replays it from a content-addressed on-disk cache, always under a
+:class:`TaskPolicy` (deadlines, bounded retries, worker-crash recovery) with
+an optional resumable :class:`SweepJournal`.
 """
 
 from repro.exec.api import (
@@ -19,7 +21,6 @@ from repro.exec.engine import ExecutionEngine, execute_request
 from repro.exec.supervise import (
     FAIL_POLICIES,
     JOURNAL_FILENAME,
-    SupervisedExecutor,
     SweepJournal,
     TaskPolicy,
 )
@@ -47,7 +48,6 @@ __all__ = [
     "ExecutionEngine",
     "RunRequest",
     "RunResult",
-    "SupervisedExecutor",
     "SweepJournal",
     "TaskPolicy",
     "append_record",

@@ -263,7 +263,7 @@ class RunRequest:
 class RunResult:
     """One executed (or replayed) run: the request plus everything measured.
 
-    A *failed* supervised run is still a :class:`RunResult`: ``measurement``
+    A *failed* run is still a :class:`RunResult`: ``measurement``
     is ``None`` and ``failure`` carries the structured record (error kind,
     per-attempt elapsed times, quarantine flag) instead of an exception
     unwinding the whole sweep.  Failed results are never cached.
@@ -289,10 +289,11 @@ class RunResult:
     #: the pool boundary; the engine merges and clears it.  Transport, not
     #: identity — excluded from :meth:`identity_dict` and :meth:`to_dict`.
     telemetry: Optional[dict] = field(default=None, compare=False)
-    #: Structured failure record from the supervised path (``None`` for a
-    #: successful run).  JSON-safe: ``{"kind", "error", "attempts": [...],
-    #: "quarantined"}`` — see :mod:`repro.exec.supervise`.  Excluded from
-    #: :meth:`identity_dict`: attempt timings are wall-clock diagnostics.
+    #: Structured failure record of a task that exhausted its policy
+    #: (``None`` for a successful run).  JSON-safe: ``{"kind", "error",
+    #: "attempts": [...], "quarantined"}`` — see :mod:`repro.exec.engine`.
+    #: Excluded from :meth:`identity_dict`: attempt timings are wall-clock
+    #: diagnostics.
     failure: Optional[dict] = None
 
     @property

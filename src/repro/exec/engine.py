@@ -1,4 +1,4 @@
-"""The experiment-execution engine: fan-out, memoization, determinism.
+"""The experiment-execution engine: fan-out, memoization, supervision.
 
 :class:`ExecutionEngine` takes :class:`~repro.exec.api.RunRequest` objects
 and produces :class:`~repro.exec.api.RunResult` objects three ways:
@@ -12,10 +12,34 @@ and produces :class:`~repro.exec.api.RunResult` objects three ways:
   :class:`~repro.exec.cache.DiskCache` when the (config, code version,
   seed) hash matches.
 
-Real-mode requests always execute inline and are never cached: their
-measurements are wall-clock timings, not deterministic functions of the
-request.  Hit/miss/task counters flow through the obs layer and the cache
-configuration lands in the active session's manifest config.
+Every sweep runs under a :class:`~repro.exec.supervise.TaskPolicy` — the
+paper's checkpoint/restart economics (Eq. 4) applied to our own harness:
+
+* **Deadlines** — every pooled task gets a wall-clock deadline; a hung
+  worker is terminated, the pool respawned and the task re-attempted.
+  An in-process task cannot be preempted, so inline runs have none.
+* **Worker-crash recovery** — a worker dying mid-task (segfault,
+  ``os._exit``, OOM kill) surfaces as ``BrokenProcessPool``; the engine
+  respawns the pool, requeues in-flight tasks, and isolates suspects so a
+  single *poison* task is identified and quarantined after
+  ``max_worker_crashes`` strikes instead of livelocking the sweep.
+* **Bounded retries** — transient I/O and OS errors re-attempt with the
+  policy's seeded-jitter backoff; deterministic errors fail fast.
+* **Resumable sweeps** — a :class:`~repro.exec.supervise.SweepJournal`
+  records each outcome as it settles; with ``resume``, completed digests
+  replay from the verified cache and only the failures re-run.
+* **Graceful degradation** — exhausted tasks become structured failure
+  records on :class:`~repro.exec.api.RunResult` (error kind, per-attempt
+  elapsed times) under the ``skip`` / ``serial-fallback`` fail policies, or
+  raise :class:`~repro.errors.SweepError` under ``abort`` (the default).
+
+Real-mode requests are never cached: their measurements are wall-clock
+timings, not deterministic functions of the request.  Hit/miss/task
+counters and supervision incidents flow through the obs layer (an ``exec``
+timeline sample per incident, the :func:`~repro.obs.watch.default_exec_rules`
+watchdog) and the engine configuration lands in the active session's
+manifest config.  A crash-free run emits no incident, so its results and
+telemetry are byte-identical to a serial run.
 """
 
 from __future__ import annotations
@@ -24,17 +48,32 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import TimeoutError as FuturesTimeoutError
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
-from typing import Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro import obs
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SweepError
 from repro.exec.api import RunRequest, RunResult, build_pipeline
 from repro.exec.cache import DiskCache
+from repro.exec.supervise import (
+    FAIL_ABORT,
+    FAIL_SERIAL,
+    SweepJournal,
+    TaskPolicy,
+    apply_chaos,
+)
+from repro.faults.retry import DEFAULT_RETRYABLE
+from repro.obs.naming import alert_metric_name
 from repro.obs.telemetry import SHARDS_DIRNAME, TelemetrySession
 from repro.obs.trace import TraceContext
+from repro.obs.watch import Watchdog, default_exec_rules
 
 __all__ = ["ExecutionEngine", "execute_request"]
+
+#: Floor on a deadline wait so an already-late task still gets collected.
+_MIN_WAIT_SECONDS = 0.05
 
 
 def _seed_rngs(request: RunRequest) -> None:
@@ -54,34 +93,123 @@ def _seed_rngs(request: RunRequest) -> None:
         pass
 
 
-def execute_request(request: RunRequest) -> RunResult:
-    """Execute one request in this process (the pool's task function).
+def execute_request(request: RunRequest, task_index: int = -1) -> RunResult:
+    """Execute one request in this process (inline, or as the pool task).
 
     Top-level (hence picklable), builds the pipeline from the request's
     registry name, seeds the RNGs, and routes through the unified
-    :meth:`~repro.pipelines.base.Pipeline.execute` entry point.
+    :meth:`~repro.pipelines.base.Pipeline.execute` entry point.  Pool
+    workers pass their submission index, which arms the
+    :data:`~repro.exec.supervise.CHAOS_ENV` failure-injection hook; inline
+    calls leave it at ``-1``, so injected crashes can never take down the
+    supervising parent (or an inline serial fallback).
     """
+    if task_index >= 0:
+        apply_chaos(task_index)
     _seed_rngs(request)
     pipeline = build_pipeline(request)
     return pipeline.execute(request)
 
 
+class _TaskState:
+    """Mutable supervision bookkeeping for one pending task."""
+
+    __slots__ = (
+        "index",
+        "task_index",
+        "request",
+        "key",
+        "attempts",
+        "crashes",
+        "_rng",
+        "submit_t",
+        "attempt_log",
+    )
+
+    def __init__(
+        self, index: int, task_index: int, request: RunRequest, key: Optional[str]
+    ) -> None:
+        self.index = index            # slot in the results list
+        self.task_index = task_index  # submission order (trace + chaos id)
+        self.request = request
+        self.key = key
+        self.attempts = 0
+        self.crashes = 0
+        self._rng: Optional[random.Random] = None
+        self.submit_t = 0.0
+        self.attempt_log: List[dict] = []
+
+    @property
+    def digest(self) -> str:
+        """Journal identity: the cache key, or an unversioned content hash."""
+        if self.key is not None:
+            return self.key
+        return self.request.cache_key("unversioned")
+
+    @property
+    def rng(self) -> random.Random:
+        """Deterministic backoff jitter, a pure function of the request."""
+        if self._rng is None:
+            self._rng = random.Random(self.request.task_seed())
+        return self._rng
+
+    def note_attempt(self, kind: str, error: str) -> None:
+        self.attempts += 1
+        # Elapsed wall time is a diagnostic only: failure records are
+        # excluded from identity_dict / bit-identity comparisons.
+        elapsed = time.monotonic() - self.submit_t
+        self.attempt_log.append(
+            {"kind": kind, "error": error, "elapsed_seconds": elapsed}
+        )
+
+
 class ExecutionEngine:
-    """Runs requests inline, over a process pool, or out of the cache."""
+    """Runs requests inline, over a process pool, or out of the cache.
+
+    ``policy=None`` means the default :class:`TaskPolicy` (three attempts,
+    three worker crashes, abort).  ``journal`` is a path or a
+    :class:`SweepJournal`; ``resume`` needs both it and a cache.
+    ``sleeper`` replaces ``time.sleep`` between retry rounds (tests).
+    """
 
     def __init__(
         self,
         max_workers: Optional[int] = None,
         cache: Optional[DiskCache] = None,
+        policy: Optional[TaskPolicy] = None,
+        journal: Union[None, str, SweepJournal] = None,
+        resume: bool = False,
+        sleeper=None,
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise ConfigurationError(f"max_workers must be >= 1: {max_workers}")
         self.max_workers = max_workers
         self.cache = cache
+        self.policy = policy if policy is not None else TaskPolicy()
+        self.journal = SweepJournal(journal) if isinstance(journal, str) else journal
+        self.resume = resume
+        if resume and self.journal is None:
+            raise ConfigurationError("resume needs a journal path")
+        if resume and cache is None:
+            raise ConfigurationError(
+                "resume needs a cache: completed results replay from it"
+            )
+        self._sleep = sleeper if sleeper is not None else time.sleep
         #: Cumulative tallies across this engine's lifetime.
         self.tasks_executed = 0
         self.cache_hits = 0
         self.cache_misses = 0
+        self.retries = 0
+        self.worker_crashes = 0
+        self.deadline_expiries = 0
+        self.quarantined = 0
+        self.pool_restarts = 0
+        self.resumed_skips = 0
+        self.serial_fallbacks = 0
+        #: Structured failure records of tasks that exhausted supervision.
+        self.failures: List[dict] = []
+        self._watchdog = Watchdog(default_exec_rules())
+        self._incidents = 0
 
     # ------------------------------------------------------------------- api
 
@@ -95,9 +223,21 @@ class ExecutionEngine:
         Cache hits are satisfied immediately; the misses run inline (one
         worker) or across the pool, and are stored back.  The output order
         never depends on completion order, so downstream tables and
-        manifests are bit-identical however the batch was scheduled.
+        manifests are bit-identical however the batch was scheduled.  With
+        a journal, every settled task is recorded as it settles, so a
+        killed sweep leaves a journal a later ``resume`` run picks up.
         """
         requests = list(requests)
+        journal_done: Dict[str, dict] = {}
+        if self.journal is not None:
+            if self.resume:
+                journal_done = {
+                    digest: rec
+                    for digest, rec in SweepJournal.load(self.journal.path).items()
+                    if rec.get("status") == "done"
+                }
+            code = self.cache.code_version if self.cache is not None else "unversioned"
+            self.journal.begin(len(requests), code)
         results: list = [None] * len(requests)
         pending: list = []
         for index, request in enumerate(requests):
@@ -131,6 +271,14 @@ class ExecutionEngine:
                 obs.observe(
                     "repro_exec_task_seconds", result.wall_seconds, cached="true"
                 )
+                if self.journal is not None:
+                    self.journal.record(
+                        index=index, digest=key, status="done", attempts=0,
+                        origin="cache",
+                    )
+                    if key in journal_done:
+                        self.resumed_skips += 1
+                        obs.counter("repro_exec_resumed_skips_total")
             else:
                 if key is not None:
                     self.cache_misses += 1
@@ -152,45 +300,125 @@ class ExecutionEngine:
         return request.cache_key(self.cache.code_version)
 
     def _run_inline(self, pending: list, results: list) -> None:
-        """Execute the pending tasks one by one in this process.
-
-        A hook point: :class:`~repro.exec.supervise.SupervisedExecutor`
-        overrides this to convert exceptions into structured failure
-        records instead of unwinding the sweep.
-        """
-        for index, request, key in pending:
-            results[index] = self._finish(request, key, execute_request(request))
+        """Execute the pending tasks one by one in this process."""
+        max_attempts = self.policy.retry.max_attempts
+        for task_index, (index, request, key) in enumerate(pending):
+            state = _TaskState(index, task_index, request, key)
+            for attempt in range(max_attempts):
+                state.submit_t = time.monotonic()
+                try:
+                    result = execute_request(request)
+                except Exception as exc:
+                    state.note_attempt(type(exc).__name__, str(exc))
+                    if self._retryable(exc) and attempt + 1 < max_attempts:
+                        self._note_retry("exception")
+                        self._backoff([state])
+                        continue
+                    self._fail(
+                        state, "exception", f"{type(exc).__name__}: {exc}", results
+                    )
+                    break
+                self._settle_success(state, result, results, None, pooled=False)
+                break
 
     def _run_pool(self, pending: list, results: list) -> None:
+        """Pooled execution with crash recovery, deadlines and quarantine."""
+        work = [
+            _TaskState(index, task_index, request, key)
+            for task_index, (index, request, key) in enumerate(pending)
+        ]
         workers = min(self.max_workers, len(pending))
+        pool: Optional[ProcessPoolExecutor] = None
+        try:
+            while work:
+                retry_next: List[_TaskState] = []
+                # After any pool breakage, suspects (tasks that were in
+                # flight during a crash) run one at a time: a further crash
+                # then attributes to exactly one request, so poison tasks
+                # are identified without condemning innocent bystanders.
+                suspects = [s for s in work if s.crashes > 0]
+                rest = [s for s in work if s.crashes == 0]
+                for batch in [[s] for s in suspects] + ([rest] if rest else []):
+                    if pool is None:
+                        pool = ProcessPoolExecutor(max_workers=workers)
+                    pool = self._run_batch(pool, batch, results, retry_next)
+                work = retry_next
+                if work:
+                    self._backoff(work)
+        finally:
+            if pool is not None:
+                pool.shutdown(wait=False, cancel_futures=True)
+
+    def _submit(self, pool: ProcessPoolExecutor, state: _TaskState, session):
+        state.submit_t = time.monotonic()
+        return pool.submit(
+            execute_request,
+            self._with_trace(state.request, session, state.task_index),
+            state.task_index,
+        )
+
+    def _run_batch(
+        self,
+        pool: ProcessPoolExecutor,
+        batch: List[_TaskState],
+        results: list,
+        retry_next: List[_TaskState],
+    ) -> Optional[ProcessPoolExecutor]:
+        """Submit a batch, collect in submission order, survive breakage.
+
+        Returns the pool, or ``None`` once it broke (the next batch runs on
+        a fresh one).  A batch of one isolates a crash suspect, so crash
+        attribution is unambiguous there.  Collecting in submission order
+        keeps the output deterministic regardless of which worker finishes
+        first; shards merge in the same order, so the parent's event stream
+        is byte-identical to an inline run of the same batch.
+        """
         session = obs.active()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                (
-                    index,
-                    request,
-                    key,
-                    pool.submit(
-                        execute_request,
-                        self._with_trace(request, session, task_index),
-                    ),
-                )
-                for task_index, (index, request, key) in enumerate(pending)
-            ]
-            # Collect in submission order — deterministic regardless of
-            # which worker finishes first.  Shards merge in the same order,
-            # so the parent's event stream is byte-identical to an inline
-            # run of the same batch.
-            for index, request, key, future in futures:
-                # The unsupervised pool is deliberately deadline-free: a
-                # hung worker hangs the sweep (use SupervisedExecutor for
-                # deadlines, crash recovery and retries).
-                result = replace(future.result(timeout=None), engine="pool")
-                if session is not None and result.telemetry is not None:
-                    session.merge_shard(result.telemetry)
-                if result.telemetry is not None:
-                    result = replace(result, telemetry=None)
-                results[index] = self._finish(request, key, result)
+        futures = [self._submit(pool, state, session) for state in batch]
+        broken = None  # None | "deadline" | "crash"
+        for state, future in zip(batch, futures):
+            if broken is not None:
+                # The pool died while this future was outstanding: harvest
+                # it if it finished in time.  Otherwise, a deadline kill has
+                # a known culprit — collateral tasks requeue penalty-free —
+                # while a worker crash has an unknown one, so everything in
+                # flight becomes a crash suspect (isolation exonerates the
+                # innocent next round).
+                if (
+                    future.done()
+                    and not future.cancelled()
+                    and future.exception(timeout=0) is None
+                ):
+                    self._settle_success(
+                        state, future.result(timeout=0), results, session
+                    )
+                elif broken == "deadline":
+                    obs.counter("repro_exec_interrupted_total")
+                    retry_next.append(state)
+                else:
+                    self._note_crash(state, results, retry_next)
+                continue
+            try:
+                result = future.result(timeout=self._remaining(state))
+            except FuturesTimeoutError:
+                self._note_deadline(state, results, retry_next)
+                self._kill_pool(pool)
+                pool = None
+                broken = "deadline"
+            except BrokenProcessPool:
+                self._note_crash(state, results, retry_next)
+                broken = "crash"
+            except Exception as exc:
+                self._note_task_error(state, exc, results, retry_next)
+            else:
+                self._settle_success(state, result, results, session)
+        if broken is not None:
+            if pool is not None:
+                pool.shutdown(wait=False, cancel_futures=True)
+            self.pool_restarts += 1
+            obs.counter("repro_exec_pool_restarts_total")
+            return None
+        return pool
 
     @staticmethod
     def _with_trace(
@@ -215,6 +443,217 @@ class ExecutionEngine:
                 timeline=session.timeline,
             ),
         )
+
+    # ------------------------------------------------------------- settling
+
+    def _remaining(self, state: _TaskState) -> Optional[float]:
+        if self.policy.deadline_seconds is None:
+            return None
+        left = state.submit_t + self.policy.deadline_seconds - time.monotonic()
+        return max(_MIN_WAIT_SECONDS, left)
+
+    def _kill_pool(self, pool: ProcessPoolExecutor) -> None:
+        """Terminate the pool's workers (the only way to evict a hung task)."""
+        try:
+            for proc in list(getattr(pool, "_processes", {}).values()):
+                try:
+                    proc.terminate()
+                except OSError:
+                    continue
+            pool.shutdown(wait=True, cancel_futures=True)
+        except Exception:
+            # Teardown of an already-broken pool must never mask the
+            # supervision decision that triggered it.
+            pass
+
+    def _settle_success(
+        self,
+        state: _TaskState,
+        result: RunResult,
+        results: list,
+        session,
+        pooled: bool = True,
+    ) -> None:
+        if pooled:
+            if session is None:
+                session = obs.active()
+            if result.telemetry is not None:
+                if session is not None:
+                    session.merge_shard(result.telemetry)
+                result = replace(result, telemetry=None)
+            result = replace(result, engine="pool")
+        results[state.index] = self._finish(state.request, state.key, result)
+        if state.attempts > 0:
+            obs.counter("repro_exec_recoveries_total")
+        if self.journal is not None:
+            self.journal.record(
+                index=state.index,
+                digest=state.digest,
+                status="done",
+                attempts=state.attempts + 1,
+            )
+
+    def _note_retry(self, kind: str) -> None:
+        self.retries += 1
+        obs.counter("repro_exec_retries_total", kind=kind)
+        self._incident()
+
+    def _note_crash(
+        self, state: _TaskState, results: list, retry_next: List[_TaskState]
+    ) -> None:
+        state.crashes += 1
+        state.note_attempt("worker-crash", "worker process died mid-task")
+        self.worker_crashes += 1
+        obs.counter("repro_exec_worker_crashes_total")
+        if self.journal is not None:
+            self.journal.event(
+                "worker-crash", index=state.index, crashes=state.crashes
+            )
+        self._incident()
+        if state.crashes >= self.policy.max_worker_crashes:
+            self.quarantined += 1
+            obs.counter("repro_exec_quarantined_total")
+            if self.journal is not None:
+                self.journal.event("quarantine", index=state.index)
+            self._incident()
+            self._fail(
+                state,
+                "poison",
+                f"task crashed its worker {state.crashes} time(s); quarantined",
+                results,
+                quarantined=True,
+            )
+        elif state.attempts >= self.policy.retry.max_attempts:
+            self._fail(
+                state,
+                "worker-crash",
+                f"worker crashed on every one of {state.attempts} attempt(s)",
+                results,
+            )
+        else:
+            self._note_retry("worker-crash")
+            retry_next.append(state)
+
+    def _note_deadline(
+        self, state: _TaskState, results: list, retry_next: List[_TaskState]
+    ) -> None:
+        state.note_attempt(
+            "deadline",
+            f"no result within the {self.policy.deadline_seconds}s deadline",
+        )
+        self.deadline_expiries += 1
+        obs.counter("repro_exec_deadline_expired_total")
+        if self.journal is not None:
+            self.journal.event("deadline", index=state.index)
+        self._incident()
+        if state.attempts >= self.policy.retry.max_attempts:
+            self._fail(
+                state,
+                "deadline",
+                f"deadline expired on every one of {state.attempts} attempt(s)",
+                results,
+            )
+        else:
+            self._note_retry("deadline")
+            retry_next.append(state)
+
+    def _note_task_error(
+        self,
+        state: _TaskState,
+        exc: BaseException,
+        results: list,
+        retry_next: List[_TaskState],
+    ) -> None:
+        state.note_attempt(type(exc).__name__, str(exc))
+        if self._retryable(exc) and state.attempts < self.policy.retry.max_attempts:
+            self._note_retry("exception")
+            retry_next.append(state)
+            return
+        self._fail(state, "exception", f"{type(exc).__name__}: {exc}", results)
+
+    @staticmethod
+    def _retryable(exc: BaseException) -> bool:
+        """Transient I/O and OS-level failures retry; deterministic
+        simulation errors fail fast (re-running a pure function of the
+        request would fail identically)."""
+        return isinstance(exc, DEFAULT_RETRYABLE + (OSError,))
+
+    def _fail(
+        self,
+        state: _TaskState,
+        kind: str,
+        error: str,
+        results: list,
+        quarantined: bool = False,
+    ) -> None:
+        """Task exhausted supervision: apply the fail policy."""
+        record = {
+            "kind": kind,
+            "error": error,
+            "attempts": list(state.attempt_log),
+            "quarantined": quarantined,
+        }
+        if self.policy.fail_policy == FAIL_SERIAL and kind in ("poison", "worker-crash"):
+            # Last resort for infrastructure failures: run the task inline
+            # in the parent.  The chaos hook does not apply here; a task
+            # that genuinely segfaults native code would take the parent
+            # down, which is the documented risk of this policy.
+            try:
+                result = execute_request(state.request)
+            except Exception as exc:
+                record["serial_fallback_error"] = f"{type(exc).__name__}: {exc}"
+            else:
+                self.serial_fallbacks += 1
+                obs.counter("repro_exec_serial_fallback_total")
+                result = replace(result, engine="serial-fallback")
+                results[state.index] = self._finish(state.request, state.key, result)
+                if self.journal is not None:
+                    self.journal.record(
+                        index=state.index,
+                        digest=state.digest,
+                        status="done",
+                        attempts=state.attempts + 1,
+                        origin="serial-fallback",
+                    )
+                return
+        self.failures.append(record)
+        failure_result = RunResult(
+            request=state.request,
+            measurement=None,
+            cache_key=state.key,
+            engine="supervised",
+            failure=record,
+        )
+        results[state.index] = self._finish(state.request, state.key, failure_result)
+        if self.journal is not None:
+            self.journal.record(
+                index=state.index,
+                digest=state.digest,
+                status="failed",
+                attempts=state.attempts,
+                error=kind,
+            )
+        if self.policy.fail_policy == FAIL_ABORT:
+            raise SweepError(
+                f"task {state.index} failed ({kind}: {error}) under "
+                f"fail-policy=abort",
+                failures=[record],
+            )
+
+    def _backoff(self, states: List[_TaskState]) -> None:
+        """Sleep out the longest due backoff (retries wait concurrently).
+
+        Each task's delay comes from the frozen retry policy with jitter
+        drawn from the task's own seeded rng, so the backoff schedule is a
+        deterministic function of (request, attempt number).
+        """
+        delays = [
+            self.policy.retry.backoff_delay(max(0, s.attempts - 1), s.rng)
+            for s in states
+        ]
+        delay = max(delays, default=0.0)
+        if delay > 0.0:
+            self._sleep(delay)
 
     def _finish(self, request: RunRequest, key: Optional[str], result: RunResult) -> RunResult:
         self.tasks_executed += 1
@@ -242,8 +681,42 @@ class ExecutionEngine:
             )
         return result
 
+    # ----------------------------------------------------------- telemetry
+
+    def _incident(self) -> None:
+        """One supervision incident: timeline sample + watchdog sweep.
+
+        Samples land on the incident sequence number (deterministic for a
+        given failure pattern) — a crash-free run emits none, keeping its
+        telemetry byte-identical to a serial run's.
+        """
+        self._incidents += 1
+        values = {
+            "repro_timeline_exec_deadline_expiries_total": float(
+                self.deadline_expiries
+            ),
+            "repro_timeline_exec_quarantined_total": float(self.quarantined),
+            "repro_timeline_exec_retries_total": float(self.retries),
+            "repro_timeline_exec_worker_crashes_total": float(self.worker_crashes),
+        }
+        t = float(self._incidents)
+        session = obs.active()
+        if session is not None:
+            session.emit_timeline(
+                {"type": "sample", "t": t, "label": "exec", "values": values}
+            )
+            session.registry.counter(
+                "repro_obs_timeline_samples_total", label="exec"
+            ).inc()
+        for alert in self._watchdog.observe(t, values):
+            if session is not None:
+                session.event("obs.alert", **alert.to_fields())
+                session.registry.counter(
+                    alert_metric_name(alert.rule), severity=alert.severity
+                ).inc()
+
     def _record_session(self) -> None:
-        """Fold engine/cache provenance into the active manifest config."""
+        """Fold engine, cache and supervision provenance into the manifest."""
         session = obs.active()
         if session is None:
             return
@@ -261,4 +734,15 @@ class ExecutionEngine:
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "tasks_executed": self.tasks_executed,
+            "policy": self.policy.to_dict(),
+            "journal": None if self.journal is None else self.journal.path,
+            "resume": self.resume,
+            "retries": self.retries,
+            "worker_crashes": self.worker_crashes,
+            "deadline_expiries": self.deadline_expiries,
+            "quarantined": self.quarantined,
+            "pool_restarts": self.pool_restarts,
+            "resumed_skips": self.resumed_skips,
+            "serial_fallbacks": self.serial_fallbacks,
+            "failures": len(self.failures),
         }

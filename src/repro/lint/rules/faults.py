@@ -11,9 +11,9 @@ In modules that use ``concurrent.futures``, the rule additionally flags
 ``future.result()`` / ``as_completed()`` / ``wait()`` calls with no
 ``timeout`` argument: a hung worker then hangs the sweep forever with no
 supervision ever noticing.  An *explicit* ``timeout=None`` is accepted — it
-marks the unbounded wait as a decision rather than an oversight (the
-unsupervised engine does exactly this, with a comment, and points at
-:class:`~repro.exec.supervise.SupervisedExecutor` for deadline coverage).
+marks the unbounded wait as a decision rather than an oversight
+(:class:`~repro.exec.engine.ExecutionEngine` passes the policy's remaining
+deadline, which is ``None`` when the policy sets no deadline).
 """
 
 from __future__ import annotations

@@ -58,7 +58,7 @@ FILL_ALERT_RATIO = 0.9
 #: Default consecutive-sample window for the queue-growth rule.
 GROWTH_WINDOW = 6
 
-#: Supervised-executor retries at which the retry-storm rule alerts.
+#: Execution-engine task retries at which the retry-storm rule alerts.
 EXEC_RETRY_STORM_THRESHOLD = 8
 
 
@@ -318,7 +318,7 @@ def default_rules(
 def default_exec_rules(
     retry_storm_threshold: float = EXEC_RETRY_STORM_THRESHOLD,
 ) -> List[WatchRule]:
-    """The supervised-executor rule set (see :mod:`repro.exec.supervise`).
+    """The execution engine's rule set (see :mod:`repro.exec.engine`).
 
     These watch the ``exec`` incident timeline — one sample per supervision
     incident, at the incident sequence number — so they are exactly as

@@ -14,6 +14,7 @@ request lists) stays exactly what it was before scenarios existed.
 from __future__ import annotations
 
 import argparse
+from dataclasses import replace
 from typing import Callable, Optional, Tuple
 
 from repro.scenario.schema import (
@@ -140,15 +141,19 @@ def build_platform_factory(scenario: Scenario) -> Optional[Callable]:
 def build_engine(scenario: Scenario):
     """The execution engine a scenario's ``execution`` section asks for.
 
-    Mirrors the historical flag handling exactly, with one addition: the
-    on-disk cache's code version and the sweep journal's label are
-    namespaced by the scenario content digest, so artifacts key on the
-    exact configuration that produced them.
+    ``None`` when the section sets nothing (callers then use the default
+    :class:`~repro.exec.engine.ExecutionEngine`).  The task policy is the
+    default :class:`~repro.exec.supervise.TaskPolicy` with the section's
+    values replaced; the on-disk cache's code version and the sweep
+    journal's label are namespaced by the scenario content digest, so
+    artifacts key on the exact configuration that produced them.
     """
     config = scenario.execution
     if not config.wants_engine:
         return None
     from repro.exec.cache import DiskCache, default_code_version
+    from repro.exec.engine import ExecutionEngine
+    from repro.exec.supervise import SweepJournal, TaskPolicy
 
     stamp = f"scenario-{scenario.content_digest()[:12]}"
     cache = None
@@ -156,41 +161,22 @@ def build_engine(scenario: Scenario):
         cache = DiskCache(
             config.cache, code_version=f"{default_code_version()}+{stamp}"
         )
-    if not config.supervised:
-        from repro.exec.engine import ExecutionEngine
-
-        return ExecutionEngine(max_workers=config.workers, cache=cache)
-    from repro.exec.supervise import SupervisedExecutor, SweepJournal, TaskPolicy
-    from repro.faults.retry import RetryPolicy
-
-    defaults = TaskPolicy()
-    retry = defaults.retry
-    if config.task_retries is not None:
-        retry = RetryPolicy(
-            max_attempts=config.task_retries,
-            base_delay_seconds=retry.base_delay_seconds,
-            backoff_factor=retry.backoff_factor,
-            max_delay_seconds=retry.max_delay_seconds,
-            jitter=retry.jitter,
-        )
-    policy = TaskPolicy(
-        deadline_seconds=config.deadline_seconds,
-        retry=retry,
-        max_worker_crashes=(
-            config.max_worker_crashes
-            if config.max_worker_crashes is not None
-            else defaults.max_worker_crashes
-        ),
-        fail_policy=(
-            config.fail_policy
-            if config.fail_policy is not None
-            else defaults.fail_policy
-        ),
+    overrides = {
+        "deadline_seconds": config.deadline_seconds,
+        "max_worker_crashes": config.max_worker_crashes,
+        "fail_policy": config.fail_policy,
+    }
+    policy = replace(
+        TaskPolicy(), **{k: v for k, v in overrides.items() if v is not None}
     )
+    if config.task_retries is not None:
+        policy = replace(
+            policy, retry=replace(policy.retry, max_attempts=config.task_retries)
+        )
     journal = None
     if config.journal is not None:
         journal = SweepJournal(config.journal, label=stamp)
-    return SupervisedExecutor(
+    return ExecutionEngine(
         max_workers=config.workers,
         cache=cache,
         policy=policy,
@@ -206,7 +192,6 @@ def _execution_from_args(args: argparse.Namespace) -> ExecutionConfig:
     return ExecutionConfig(
         workers=getattr(args, "workers", None),
         cache=getattr(args, "cache", None),
-        supervise=bool(getattr(args, "supervise", False)),
         deadline_seconds=getattr(args, "deadline", None),
         task_retries=getattr(args, "task_retries", None),
         max_worker_crashes=getattr(args, "max_worker_crashes", None),

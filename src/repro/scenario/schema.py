@@ -437,11 +437,10 @@ class PowerConfig:
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """Engine/supervision options (mirrors the ``--workers`` flag family)."""
+    """Engine options (mirrors the ``--workers`` flag family)."""
 
     workers: Optional[int] = None
     cache: Optional[str] = None
-    supervise: bool = False
     deadline_seconds: Optional[float] = None
     task_retries: Optional[int] = None
     max_worker_crashes: Optional[int] = None
@@ -450,11 +449,18 @@ class ExecutionConfig:
     resume: bool = False
 
     def __post_init__(self) -> None:
-        if self.workers is not None:
+        for path, value, floor in (
+            ("execution.workers", self.workers, 1),
+            ("execution.task_retries", self.task_retries, 1),
+            ("execution.max_worker_crashes", self.max_worker_crashes, 1),
+        ):
+            if value is not None:
+                _require(value >= floor, path, f"must be >= {floor}, got {value}")
+        if self.deadline_seconds is not None:
             _require(
-                self.workers >= 1,
-                "execution.workers",
-                f"need >= 1 worker, got {self.workers}",
+                self.deadline_seconds > 0,
+                "execution.deadline",
+                f"must be positive seconds, got {self.deadline_seconds}",
             )
         if self.fail_policy is not None:
             _require(
@@ -465,33 +471,14 @@ class ExecutionConfig:
             )
 
     @property
-    def supervised(self) -> bool:
-        """Whether any option upgrades the engine to supervised execution."""
-        return (
-            self.supervise
-            or self.resume
-            or any(
-                v is not None
-                for v in (
-                    self.deadline_seconds,
-                    self.task_retries,
-                    self.max_worker_crashes,
-                    self.fail_policy,
-                    self.journal,
-                )
-            )
-        )
-
-    @property
     def wants_engine(self) -> bool:
-        """Whether this config asks for anything beyond the inline default."""
-        return self.workers is not None or self.cache is not None or self.supervised
+        """Whether this config asks for anything beyond the default engine."""
+        return self != ExecutionConfig()
 
     def to_dict(self) -> dict:
         return {
             "workers": self.workers,
             "cache": self.cache,
-            "supervise": self.supervise,
             "deadline": self.deadline_seconds,
             "task_retries": self.task_retries,
             "max_worker_crashes": self.max_worker_crashes,

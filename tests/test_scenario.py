@@ -209,6 +209,22 @@ class TestValidationErrors:
             )
         assert exc.value.path == "execution"
 
+    @pytest.mark.parametrize(
+        "execution, path",
+        [
+            ({"task_retries": 0, "deadline": -5}, "execution.task_retries"),
+            ({"deadline": -5}, "execution.deadline"),
+            ({"deadline": 0}, "execution.deadline"),
+            ({"max_worker_crashes": 0}, "execution.max_worker_crashes"),
+            ({"workers": 0}, "execution.workers"),
+            ({"supervise": False}, "execution.supervise"),
+        ],
+    )
+    def test_invalid_execution_values_name_their_path(self, execution, path):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(_minimal(execution=execution))
+        assert exc.value.path == path
+
     def test_resume_needs_journal_and_cache(self):
         with pytest.raises(ScenarioError) as exc:
             Scenario(name="x", execution=ExecutionConfig(resume=True))
@@ -339,7 +355,7 @@ class TestBuilders:
         args = argparse.Namespace(
             intervals=[72.0], json=False, telemetry=None,
             timeline_interval=None, no_timeline=False, power_cap=None,
-            workers=None, cache=None, supervise=False, deadline=None,
+            workers=None, cache=None, deadline=None,
             task_retries=None, max_worker_crashes=None, fail_policy=None,
             journal=None, resume=False, emit_scenario=None,
         )
@@ -355,7 +371,7 @@ class TestJournalLabel:
         path = tmp_path / "j.jsonl"
         journal = SweepJournal(str(path), label="scenario-abc123")
         assert journal.label == "scenario-abc123"
-        journal.begin(3, "code", label=journal.label)
+        journal.begin(3, "code")
         header = json.loads(path.read_text().splitlines()[0])
         assert header["label"] == "scenario-abc123"
 

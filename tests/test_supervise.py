@@ -1,10 +1,11 @@
-"""Tests for supervised execution: crash recovery, deadlines, retries,
+"""Tests for the engine's supervision: crash recovery, deadlines, retries,
 resumable sweeps, structured failure records, and the crash-safe write
 helpers in ``repro.atomicio``."""
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -14,14 +15,12 @@ from repro.core.metrics import IN_SITU, POST_PROCESSING
 from repro.errors import ConfigurationError, SweepError, TransientIOError
 from repro.exec.api import RunRequest
 from repro.exec.cache import DiskCache
-from repro.exec.engine import ExecutionEngine
+from repro.exec.engine import ExecutionEngine, execute_request
 from repro.exec.supervise import (
     CHAOS_ENV,
-    SupervisedExecutor,
     SweepJournal,
     TaskPolicy,
     parse_chaos,
-    supervised_task,
 )
 from repro.faults.retry import RetryPolicy
 from repro.obs.exporters import read_jsonl
@@ -55,14 +54,14 @@ def fast_retry(attempts: int = 3) -> RetryPolicy:
     )
 
 
-def supervisor(**kwargs) -> SupervisedExecutor:
+def supervisor(**kwargs) -> ExecutionEngine:
     kwargs.setdefault("sleeper", lambda _s: None)
-    return SupervisedExecutor(**kwargs)
+    return ExecutionEngine(**kwargs)
 
 
 @pytest.fixture(scope="module")
 def serial_reference():
-    """The serial identity dicts the supervised runs must reproduce."""
+    """The serial identity dicts every supervised run must reproduce."""
     return [r.identity_dict() for r in ExecutionEngine().map(tiny_requests())]
 
 
@@ -107,11 +106,11 @@ class TestChaosParsing:
     def test_raise_injection_in_process(self, monkeypatch):
         monkeypatch.setenv(CHAOS_ENV, "raise=0")
         with pytest.raises(TransientIOError):
-            supervised_task(tiny_requests(1)[0], 0)
+            execute_request(tiny_requests(1)[0], 0)
 
     def test_no_chaos_for_negative_index(self, monkeypatch):
         monkeypatch.setenv(CHAOS_ENV, "raise=0")
-        result = supervised_task(tiny_requests(1)[0], -1)
+        result = execute_request(tiny_requests(1)[0], -1)
         assert result.measurement is not None
 
 
@@ -198,6 +197,37 @@ class TestCrashRecovery:
         assert results[0].failure["kind"] == "exception"
 
 
+class TestOneEngine:
+    def test_default_engine_raises_sweep_error_on_task_error(self):
+        bad = RunRequest(pipeline="no-such-pipeline", spec=tiny_spec())
+        with pytest.raises(SweepError) as excinfo:
+            ExecutionEngine().map([bad])
+        failures = excinfo.value.failures
+        assert len(failures) == 1
+        assert failures[0]["kind"] == "exception"
+
+    def test_transient_error_once_is_retried_inline(
+        self, serial_reference, monkeypatch
+    ):
+        import repro.exec.engine as engine_module
+
+        calls = []
+        real = engine_module.execute_request
+
+        def flaky(request, task_index=-1):
+            calls.append(task_index)
+            if len(calls) == 1:
+                raise TransientIOError("injected once")
+            return real(request, task_index)
+
+        monkeypatch.setattr(engine_module, "execute_request", flaky)
+        engine = ExecutionEngine()
+        results = engine.map(tiny_requests())
+        assert engine.retries == 1
+        assert len(calls) == 4
+        assert [r.identity_dict() for r in results] == serial_reference
+
+
 class TestByteIdentity:
     def test_crash_free_supervised_run_matches_serial(
         self, serial_reference, monkeypatch
@@ -208,7 +238,7 @@ class TestByteIdentity:
         assert ex.worker_crashes == 0 and ex.retries == 0
         assert [r.identity_dict() for r in results] == serial_reference
 
-    def test_crash_free_telemetry_matches_unsupervised(self, tmp_path, monkeypatch):
+    def test_crash_free_pooled_telemetry_matches_inline(self, tmp_path, monkeypatch):
         monkeypatch.delenv(CHAOS_ENV, raising=False)
         requests = tiny_requests(2)
 
@@ -226,9 +256,9 @@ class TestByteIdentity:
                 scrubbed.append(rec.get("name") or rec.get("type"))
             return scrubbed
 
-        plain = run(tmp_path / "plain", ExecutionEngine(max_workers=2))
-        supervised = run(tmp_path / "sup", supervisor(max_workers=2))
-        assert supervised == plain
+        inline = run(tmp_path / "inline", ExecutionEngine())
+        pooled = run(tmp_path / "pool", supervisor(max_workers=2))
+        assert pooled == inline
 
 
 class TestJournalAndResume:
@@ -288,9 +318,9 @@ class TestJournalAndResume:
 
     def test_resume_requires_journal_and_cache(self, tmp_path):
         with pytest.raises(ConfigurationError):
-            SupervisedExecutor(resume=True)
+            ExecutionEngine(resume=True)
         with pytest.raises(ConfigurationError):
-            SupervisedExecutor(resume=True, journal=str(tmp_path / "j.jsonl"))
+            ExecutionEngine(resume=True, journal=str(tmp_path / "j.jsonl"))
 
     def test_journal_load_tolerates_torn_tail(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -322,11 +352,12 @@ class TestFailureObservability:
         assert total("repro_exec_worker_crashes_total") >= 1
         assert total("repro_exec_quarantined_total") == 1
         assert total("repro_alert_exec_worker_crash_total") >= 1
-        supervise = json.loads(
+        provenance = json.loads(
             (tmp_path / "manifest.json").read_text()
-        )["config"]["exec"]["supervise"]
-        assert supervise["quarantined"] == 1
-        assert supervise["failures"] == 1
+        )["config"]["exec"]
+        assert provenance["quarantined"] == 1
+        assert provenance["failures"] == 1
+        assert provenance["policy"]["fail_policy"] == "skip"
         # Incident samples landed on the exec timeline.
         samples = [
             rec for rec in read_jsonl(str(tmp_path / "timeline.jsonl"))
@@ -384,32 +415,51 @@ class TestCliIntegration:
             Scenario(name="report", execution=_execution_from_args(args))
         )
 
-    def test_engine_builder_upgrades_to_supervised(self):
+    @staticmethod
+    def _args(**flags):
         import argparse
 
-        args = argparse.Namespace(
-            workers=2, cache=None, supervise=True, deadline=10.0,
-            task_retries=4, max_worker_crashes=2, fail_policy="skip",
-            journal=None, resume=False,
+        values = dict(
+            workers=2, cache=None, deadline=None, task_retries=None,
+            max_worker_crashes=None, fail_policy=None, journal=None,
+            resume=False,
         )
-        engine = self._engine(args)
-        assert isinstance(engine, SupervisedExecutor)
+        values.update(flags)
+        return argparse.Namespace(**values)
+
+    def test_engine_builder_upgrades_to_supervised(self):
+        # Every supervision option lands on the one engine's policy.
+        engine = self._engine(self._args(
+            deadline=10.0, task_retries=4, max_worker_crashes=2,
+            fail_policy="skip",
+        ))
+        assert type(engine) is ExecutionEngine
         assert engine.policy.deadline_seconds == 10.0
         assert engine.policy.retry.max_attempts == 4
         assert engine.policy.max_worker_crashes == 2
         assert engine.policy.fail_policy == "skip"
+        # Options left unset keep the defaults, every retry field included.
+        assert engine.policy.retry == replace(TaskPolicy().retry, max_attempts=4)
 
     def test_engine_builder_plain_without_supervision(self):
-        import argparse
+        # No supervision option: the same engine with the default policy.
+        plain = self._engine(self._args())
+        assert type(plain) is ExecutionEngine
+        assert plain.max_workers == 2
+        assert plain.policy == TaskPolicy()
 
-        args = argparse.Namespace(
-            workers=2, cache=None, supervise=False, deadline=None,
-            task_retries=None, max_worker_crashes=None, fail_policy=None,
-            journal=None, resume=False,
-        )
-        engine = self._engine(args)
-        assert isinstance(engine, ExecutionEngine)
-        assert not isinstance(engine, SupervisedExecutor)
+    def test_task_error_without_options_exits_3(self, monkeypatch, capsys):
+        import repro.exec.engine as engine_module
+        from repro.cli import main
+
+        def broken(request, task_index=-1):
+            raise ValueError("deterministic model error")
+
+        monkeypatch.setattr(engine_module, "execute_request", broken)
+        assert main(["characterize", "--intervals", "72"]) == 3
+        err = capsys.readouterr().err
+        assert "task failed (exception, 1 attempt(s))" in err
+        assert "ValueError: deterministic model error" in err
 
     def test_resume_flag_validation(self, capsys):
         from repro.cli import main
